@@ -2,13 +2,14 @@
 //! covering the kernels the perf work targets — HCI encode/decode, the
 //! AES-CCM link cipher (scalar and batched `open_many`), the batched
 //! eavesdrop decrypt pipeline, legacy `E1`, the pincrack candidate
-//! loop, and the disabled-telemetry hook (pinning the zero-cost-when-off
-//! contract of the live telemetry tier) — plus end-to-end wall times for
-//! the table drivers and a
-//! `throughput` section with the batched sweep figures
-//! (`pincrack_candidates_per_sec`, `ccm_open_bytes_per_sec`; every
-//! `throughput` key is floor-gated by `blap-bench compare`: only a drop
-//! regresses).
+//! loop, P-256 key generation and ECDH (the bulk of every simulated
+//! pairing), and the disabled-telemetry hook (pinning the
+//! zero-cost-when-off contract of the live telemetry tier) — plus
+//! end-to-end wall times for the table drivers and a `throughput` section
+//! with the batched sweep figures and the single-core fleet campaign rate
+//! (`pincrack_candidates_per_sec`, `ccm_open_bytes_per_sec`,
+//! `campaign_trials_per_sec`; every `throughput` key is floor-gated by
+//! `blap-bench compare`: only a drop regresses).
 //!
 //! Regenerate with:
 //!
@@ -25,11 +26,13 @@
 //! multi-x regressions, not a substitute for the Criterion benches
 //! (`cargo bench -p blap-bench`) when microsecond precision matters.
 
+use blap::campaign::{Campaign, Population};
 use blap::eavesdrop::decrypt_capture_batched;
 use blap::legacy_pin::{crack_numeric_pin_with, LegacyPairingCapture};
 use blap::runner::Jobs;
 use blap::{addrs, extract};
 use blap_crypto::ccm::{OpenBatch, SealedFrame};
+use blap_crypto::p256::KeyPair;
 use blap_crypto::{aes::Aes128, ccm, e1};
 use blap_hci::{Command, Event, HciPacket};
 use blap_sim::{profiles, SniffedFrame, World};
@@ -224,6 +227,21 @@ fn main() {
         black_box(e1::e1(black_box(&e1_key), &e1_rand, e1_addr));
     });
 
+    // P-256: fixed-base key generation and variable-base ECDH (with the
+    // peer-key validation the controller always runs). A simulated SSP
+    // pairing does two of each.
+    let p256_keygen = ns_per_op(200, || {
+        black_box(KeyPair::from_rng_bytes(black_box([0x5a; 32])).expect("nonzero secret"));
+    });
+    let ours = KeyPair::from_rng_bytes([0x42; 32]).expect("nonzero secret");
+    let peer = KeyPair::from_rng_bytes([0x17; 32]).expect("nonzero secret");
+    let p256_ecdh = ns_per_op(50, || {
+        black_box(
+            ours.diffie_hellman(black_box(&peer.public()))
+                .expect("valid peer"),
+        );
+    });
+
     // Per-candidate pincrack cost: a full 4-digit-space scan for a PIN
     // near the end of the space, divided by the attempts it reports.
     let capture = LegacyPairingCapture::synthesize(
@@ -266,6 +284,20 @@ fn main() {
     }
     let sweep_secs = sweep_started.elapsed().as_secs_f64() / f64::from(SWEEP_REPS);
     let pincrack_candidates_per_sec = warm6.attempts as f64 / sweep_secs;
+
+    // Fleet campaign trials per second on one core: the end-to-end unit
+    // of the page-blocking sweeps, each trial a full simulated pairing.
+    // Floor-gated in `compare`.
+    const CAMPAIGN_TRIALS: u64 = 1024;
+    const CAMPAIGN_REPS: u32 = 2;
+    let campaign = Campaign::new(Population::fleet(), CAMPAIGN_TRIALS, 2022);
+    black_box(campaign.run(serial));
+    let campaign_started = Instant::now();
+    for _ in 0..CAMPAIGN_REPS {
+        black_box(campaign.run(serial));
+    }
+    let campaign_trials_per_sec = (CAMPAIGN_TRIALS * u64::from(CAMPAIGN_REPS)) as f64
+        / campaign_started.elapsed().as_secs_f64();
 
     // --- End-to-end wall times ------------------------------------------
     let t1_started = Instant::now();
@@ -319,6 +351,8 @@ fn main() {
         "    \"pincrack_candidate\": {},",
         json_number(pincrack_candidate)
     );
+    println!("    \"p256_keygen\": {},", json_number(p256_keygen));
+    println!("    \"p256_ecdh\": {},", json_number(p256_ecdh));
     println!(
         "    \"telemetry_disabled\": {}",
         json_number(telemetry_disabled)
@@ -343,8 +377,12 @@ fn main() {
         json_number(pincrack_candidates_per_sec)
     );
     println!(
-        "    \"ccm_open_bytes_per_sec\": {}",
+        "    \"ccm_open_bytes_per_sec\": {},",
         json_number(ccm_open_bytes_per_sec)
+    );
+    println!(
+        "    \"campaign_trials_per_sec\": {}",
+        json_number(campaign_trials_per_sec)
     );
     println!("  }}");
     println!("}}");

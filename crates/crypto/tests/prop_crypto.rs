@@ -1,6 +1,6 @@
 //! Property tests for the cryptographic substrate.
 
-use blap_crypto::bigint::{U256, U512};
+use blap_crypto::bigint::U256;
 use blap_crypto::p256;
 use blap_crypto::saferplus::{decrypt, encrypt, encrypt_prime, KeySchedule};
 use blap_crypto::sha256::{digest, Sha256};
@@ -126,16 +126,109 @@ proptest! {
 
     #[test]
     fn fast_reduction_matches_slow(a in any::<[u8; 32]>(), b in any::<[u8; 32]>()) {
-        // Pins the Solinas term table (fast path, `field_mul`) against
-        // binary long division (slow path, `mul_mod`/`rem`) for arbitrary
-        // products.
+        // Pins the Montgomery field (fast path, `field_mul`) against
+        // binary long division (slow path, `U512::rem`) for arbitrary
+        // products. The inputs are not reduced first: `field_mul` must
+        // reduce values at or above p itself.
         let p = p256::field_prime();
-        let a = U256::from_be_bytes(a).rem_short(p);
-        let b = U256::from_be_bytes(b).rem_short(p);
-        prop_assert_eq!(p256::field_mul(a, b), a.mul_mod(b, p));
-        prop_assert_eq!(p256::field_mul(a, b), U512::from_u256(U256::ZERO)
-            .rem(p)
-            .add_mod(a.mul_mod(b, p), p));
+        let (a, b) = (U256::from_be_bytes(a), U256::from_be_bytes(b));
+        prop_assert_eq!(p256::field_mul(a, b), a.widening_mul(b).rem(p));
+        prop_assert_eq!(p256::field_square(a), a.widening_mul(a).rem(p));
+    }
+}
+
+mod p256_field {
+    use blap_crypto::bigint::{U256, U512};
+    use blap_crypto::p256::{field_inv, field_mul, field_prime, field_square};
+    use proptest::prelude::*;
+
+    /// Inputs where carries and the final conditional subtraction are
+    /// most likely to go wrong: the ends of the field, values past p
+    /// (which the public hooks reduce first), and limbs equal to p's.
+    fn edges() -> Vec<U256> {
+        let p = field_prime();
+        let pl = p.limbs();
+        let max = u64::MAX;
+        let sub = |k: u64| p.overflowing_sub(U256::from_u64(k)).0;
+        vec![
+            U256::ZERO,
+            U256::ONE,
+            U256::from_u64(2),
+            sub(1),
+            sub(2),
+            p,
+            p.overflowing_add(U256::ONE).0,
+            U256::from_limbs([max; 4]),
+            U256::ZERO.overflowing_sub(p).0,
+            U256::from_limbs([pl[0], pl[1], 0, 0]),
+            U256::from_limbs([0, 0, 0, pl[3]]),
+            U256::from_limbs([pl[0], 0, pl[2], pl[3]]),
+            U256::from_limbs([max, pl[1], max, pl[3]]),
+            U256::from_limbs([pl[0], pl[1], pl[2], pl[3] - 1]),
+        ]
+    }
+
+    /// The oracle: binary long division of the full product.
+    fn slow_mul(a: U256, b: U256) -> U256 {
+        a.widening_mul(b).rem(field_prime())
+    }
+
+    #[test]
+    fn edge_products_squares_and_inverses_match_the_oracle() {
+        let p = field_prime();
+        let edges = edges();
+        for &a in &edges {
+            assert_eq!(field_square(a), slow_mul(a, a), "square of {a}");
+            assert_eq!(field_square(a), field_mul(a, a), "square ≡ mul for {a}");
+            for &b in &edges {
+                assert_eq!(field_mul(a, b), slow_mul(a, b), "{a} * {b}");
+            }
+            match field_inv(a) {
+                None => assert!(U512::from_u256(a).rem(p).is_zero(), "inv({a}) missing"),
+                Some(inv) => {
+                    assert_eq!(Some(inv), a.inv_mod_prime(p), "inv({a})");
+                    assert_eq!(field_mul(a, inv), U256::ONE, "{a} * inv({a})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_has_no_inverse() {
+        assert_eq!(field_inv(U256::ZERO), None);
+        assert_eq!(field_inv(field_prime()), None, "p ≡ 0");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn square_matches_mul(a in any::<[u8; 32]>(), edge in 0usize..32) {
+            // Edge values fill the first 14 of the 32 slots, so nearly half
+            // the cases square one of them instead of a random value.
+            let edges = edges();
+            let a = edges.get(edge).copied().unwrap_or(U256::from_be_bytes(a));
+            prop_assert_eq!(field_square(a), field_mul(a, a));
+            prop_assert_eq!(field_square(a), slow_mul(a, a));
+        }
+
+        #[test]
+        fn inverse_matches_fermat_oracle(a in any::<[u8; 32]>()) {
+            let p = field_prime();
+            let a = U256::from_be_bytes(a);
+            prop_assume!(!a.rem_short(p).is_zero());
+            let inv = field_inv(a).expect("nonzero has an inverse");
+            prop_assert_eq!(Some(inv), a.inv_mod_prime(p));
+            prop_assert_eq!(field_mul(a, inv), U256::ONE);
+        }
+
+        #[test]
+        fn mul_with_an_edge_operand_matches_the_oracle(a in any::<[u8; 32]>(), edge in 0usize..14) {
+            let b = edges()[edge];
+            let a = U256::from_be_bytes(a);
+            prop_assert_eq!(field_mul(a, b), slow_mul(a, b));
+            prop_assert_eq!(field_mul(b, a), slow_mul(a, b));
+        }
     }
 }
 

@@ -408,6 +408,20 @@ fn scalar_mul_edge_cases_match_reference() {
     assert_ne!(fast.y(), g.y(), "−G mirrors G's y-coordinate");
 }
 
+#[test]
+fn wnaf_on_a_two_torsion_input_matches_reference() {
+    // `mul` accepts arbitrary coordinates; y = 0 makes the point its own
+    // negation, so 2·B = ∞ and every odd multiple is B again.
+    let base = Point::Affine {
+        x: blap_crypto::bigint::U256::from_u64(5),
+        y: blap_crypto::bigint::U256::ZERO,
+    };
+    for k in [1u64, 2, 3, 15, 16, 17, 0xdead_beef] {
+        let k = Scalar::from_u64(k);
+        assert_eq!(base.mul(&k), base.mul_double_and_add(&k), "k = {k:?}");
+    }
+}
+
 proptest! {
     #[test]
     fn wnaf_matches_double_and_add_on_generator(bytes in any::<[u8; 32]>()) {
