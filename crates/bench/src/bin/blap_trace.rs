@@ -24,7 +24,8 @@
 //! (or binary frames) are fed through the constant-memory
 //! [`blap_obs::StreamAnalyzer`] / [`blap_obs::TraceDiff`] as they are
 //! read, so a campaign-scale artifact is analyzed without ever being
-//! materialized. Trace inputs may be JSONL or the `b"BLAPTRC1"` binary
+//! materialized. Decoded binary frames go to the analyzer as they are,
+//! with no JSONL round trip. Trace inputs may be JSONL or the `b"BLAPTRC1"` binary
 //! encoding — the format is sniffed from the first 8 bytes. `convert`
 //! flips the format: a JSONL input is written as binary and vice versa,
 //! and the round trip is byte-deterministic (a non-canonical JSONL line
@@ -288,32 +289,20 @@ fn analyze_stream(
                 }
             }
         }
-        TraceInput::Binary(mut frames) => {
-            // Frames render to canonical JSONL lines and take the same
-            // path as a converted file would: one analyzer, two formats.
-            let mut line = String::new();
-            loop {
-                match frames.next_frame() {
-                    Ok(Some(frame)) => {
-                        line.clear();
-                        frame.render_jsonl(&mut line);
-                        if let Err(err) = analyzer.push_line(&line) {
-                            eprintln!("error: {path}: {err}");
-                            return Err(ExitCode::from(2));
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(err) if tolerate_torn && err.truncated => {
-                        eprintln!("warning: {path}: ignoring torn final frame: {err}");
-                        break;
-                    }
-                    Err(err) => {
-                        eprintln!("error: {path}: {err}");
-                        return Err(ExitCode::from(2));
-                    }
+        TraceInput::Binary(mut frames) => loop {
+            match frames.next_frame() {
+                Ok(Some(frame)) => analyzer.push_frame(&frame),
+                Ok(None) => break,
+                Err(err) if tolerate_torn && err.truncated => {
+                    eprintln!("warning: {path}: ignoring torn final frame: {err}");
+                    break;
+                }
+                Err(err) => {
+                    eprintln!("error: {path}: {err}");
+                    return Err(ExitCode::from(2));
                 }
             }
-        }
+        },
     }
     Ok(analyzer.finish())
 }

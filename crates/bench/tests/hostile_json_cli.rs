@@ -1,6 +1,7 @@
-//! Exit codes of the JSON-reading CLIs on hostile nesting: a line of
+//! Exit codes of the JSON-reading CLIs on hostile input: a line of
 //! 200 000 `[` is a typed parse error that ends in exit code 2, not a
-//! stack overflow that aborts with 134.
+//! stack overflow that aborts with 134, and a trace line of a known kind
+//! with a missing field exits 2 instead of passing the check.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -49,4 +50,26 @@ fn deep_nesting_exits_2_in_every_reader() {
         Some(2),
         "blap-top --once"
     );
+}
+
+#[test]
+fn known_event_with_a_missing_field_exits_2() {
+    let missing = temp_file(
+        "missing-field.jsonl",
+        "{\"t\":0,\"ev\":\"span_open\",\"span\":1}\n",
+    );
+    let opaque = temp_file("unknown-kind.jsonl", "{\"t\":1,\"ev\":\"x\"}\n");
+    let blap_trace = || Command::new(env!("CARGO_BIN_EXE_blap-trace"));
+    for cmd in ["check", "timeline"] {
+        assert_eq!(
+            exit_code(blap_trace().arg(cmd).arg(&missing)),
+            Some(2),
+            "blap-trace {cmd} on a span_open without a name"
+        );
+        assert_eq!(
+            exit_code(blap_trace().arg(cmd).arg(&opaque)),
+            Some(0),
+            "blap-trace {cmd} on an unknown event kind"
+        );
+    }
 }

@@ -1,6 +1,5 @@
-//! Trace analysis: parse JSONL artifacts back into typed lines, rebuild
-//! per-trial timelines, profile where virtual time went, and check the
-//! causal invariants the BLAP attack arguments rest on.
+//! Trace analysis results: per-trial timelines, where virtual time went,
+//! and the causal invariants the BLAP attack arguments rest on.
 //!
 //! The analyzer consumes exactly what [`crate::trace`] produces. A trace
 //! is split into **segments** — one per trial — at `unit_start`
@@ -9,12 +8,11 @@
 //! is the authoritative boundary). All checks are then per segment, since
 //! timestamps are only comparable within one world.
 //!
-//! Since the streaming rework, this module is a thin batch facade over
-//! [`crate::stream::StreamAnalyzer`], which holds state for one in-flight
-//! trial at a time and retires each segment as its boundary arrives. The
-//! wrapper exists for callers that already hold the whole artifact (tests,
-//! small fixtures); anything campaign-scale should push lines or typed
-//! events at the streaming core directly.
+//! The analysis itself runs in [`crate::stream::StreamAnalyzer`], which
+//! holds state for one in-flight trial at a time and retires each segment
+//! as its boundary arrives. This module holds what it reports — the
+//! [`TraceAnalysis`], its [`Violation`]s and [`PhaseProfile`] — plus
+//! [`analyze_trace`] for callers that already hold a whole artifact.
 //!
 //! ## Invariant catalog
 //!
@@ -48,26 +46,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 
-use crate::json::{self, Value};
 use crate::metrics::Histogram;
 
 /// The model's fixed LMP/ACL delivery latency in virtual microseconds.
 pub const LMP_LATENCY_US: u64 = 1250;
-
-/// One parsed trace line.
-#[derive(Clone, Debug)]
-pub struct TraceLine {
-    /// 1-based line number in the artifact.
-    pub line_no: usize,
-    /// Virtual timestamp (µs).
-    pub t: u64,
-    /// Emitting device index, when the line was device-scoped.
-    pub dev: Option<u32>,
-    /// Event name (`"lmp_send"`, `"span_open"`, ...).
-    pub ev: String,
-    /// The full parsed object, for event-specific fields.
-    pub value: Value,
-}
 
 /// A failure to parse a trace artifact.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -227,62 +209,11 @@ impl TraceAnalysis {
     }
 }
 
-/// Parses one non-blank trace line into its typed form.
-pub(crate) fn parse_line(line_no: usize, raw: &str) -> Result<TraceLine, AnalyzeError> {
-    let value = json::parse(raw).map_err(|e| AnalyzeError {
-        line: line_no,
-        message: e.to_string(),
-    })?;
-    let t = value.get("t").and_then(Value::as_u64).ok_or(AnalyzeError {
-        line: line_no,
-        message: "missing integer \"t\" field".to_owned(),
-    })?;
-    let ev = value
-        .get("ev")
-        .and_then(Value::as_str)
-        .ok_or(AnalyzeError {
-            line: line_no,
-            message: "missing string \"ev\" field".to_owned(),
-        })?
-        .to_owned();
-    // Device ids are u32 everywhere else in the pipeline; a larger
-    // value is a corrupt or forged line, and truncating it would
-    // silently attribute the event to an unrelated device.
-    let dev = match value.get("dev").and_then(Value::as_u64) {
-        Some(d) => Some(u32::try_from(d).map_err(|_| AnalyzeError {
-            line: line_no,
-            message: format!("\"dev\" value {d} exceeds the u32 device-id range"),
-        })?),
-        None => None,
-    };
-    Ok(TraceLine {
-        line_no,
-        t,
-        dev,
-        ev,
-        value,
-    })
-}
-
-/// Parses a trace JSONL artifact into typed lines (blank lines skipped).
-pub fn parse_trace(text: &str) -> Result<Vec<TraceLine>, AnalyzeError> {
-    let mut lines = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        if raw.trim().is_empty() {
-            continue;
-        }
-        lines.push(parse_line(idx + 1, raw)?);
-    }
-    Ok(lines)
-}
-
 /// Parses and fully analyzes a trace artifact: segmentation, phase
 /// profile, and the invariant catalog.
 ///
-/// Batch facade over [`crate::stream::StreamAnalyzer`]: every line is
-/// pushed through the streaming core, so the two tiers cannot drift. The
-/// first malformed line aborts the analysis with its parse error, exactly
-/// as the historical whole-artifact parser did.
+/// Every line is pushed through [`crate::stream::StreamAnalyzer`]; the
+/// first malformed line aborts the analysis with its parse error.
 pub fn analyze_trace(text: &str) -> Result<TraceAnalysis, AnalyzeError> {
     let mut analyzer = crate::stream::StreamAnalyzer::new();
     for raw in text.lines() {
@@ -312,15 +243,22 @@ mod tests {
         // 2^32 truncates to dev 0 under an `as u32` cast — the line would
         // silently attribute its span to the victim device. It must be a
         // parse error instead.
-        let trace = "{\"t\":1,\"dev\":4294967296,\"ev\":\"lmp_send\"}\n";
-        let err = parse_trace(trace).expect_err("oversized dev must not parse");
+        let mut analyzer = crate::stream::StreamAnalyzer::new();
+        let err = analyzer
+            .push_line("{\"t\":1,\"dev\":4294967296,\"ev\":\"lmp_send\"}")
+            .expect_err("oversized dev must not parse");
         assert_eq!(err.line, 1);
         assert!(err.message.contains("4294967296"), "{}", err.message);
         assert!(err.message.contains("u32"), "{}", err.message);
         // u32::MAX itself is still a valid id.
-        let ok = parse_trace("{\"t\":1,\"dev\":4294967295,\"ev\":\"lmp_send\"}\n")
+        let lmp_send = "{\"t\":1,\"dev\":4294967295,\"ev\":\"lmp_send\",\
+                        \"peer\":\"aa:aa:aa:aa:aa:aa\",\"pdu\":\"LMP_au_rand\"}";
+        let frame = crate::Frame::from_jsonl(lmp_send).expect("canonical line");
+        assert_eq!(frame.dev, Some(u32::MAX));
+        analyzer
+            .push_line(lmp_send)
             .expect("u32::MAX device id parses");
-        assert_eq!(ok[0].dev, Some(u32::MAX));
+        assert_eq!(analyzer.finish().line_count, 1);
     }
 
     #[test]

@@ -20,15 +20,18 @@
 //! (killed writer) detectable: a frame that ends early is a
 //! [`CodecError`], never a panic or a silent truncation.
 //!
-//! The bridge type is [`Frame`]: an owned, self-contained event decoded
-//! from either format. `Frame::render_jsonl` reproduces
-//! [`TraceEvent::render_jsonl`] byte for byte, and [`Frame::from_jsonl`]
-//! *verifies canonicality* — it re-renders what it parsed and rejects the
-//! line on any byte mismatch (non-canonical number spellings, reordered
-//! or extra keys). That check is what makes `blap-trace convert`
-//! honestly byte-deterministic: JSONL → binary → JSONL is the identity
-//! on every artifact our tracer can produce, and anything else is
-//! refused loudly instead of silently rewritten.
+//! [`Frame`] is the one decoded form of a trace event, whatever it came
+//! from: [`Frame::from_event`] condenses a live [`TraceEvent`], the binary
+//! reader decodes payloads, and [`Frame::from_jsonl`] parses JSONL.
+//! [`Frame::render_jsonl`] is the only JSONL renderer — every JSONL sink
+//! and `convert` write through it — and `Frame::from_value` the only
+//! JSONL decoder, shared with [`crate::stream::StreamAnalyzer::push_line`].
+//! `from_jsonl` also *verifies canonicality*: it re-renders what it
+//! parsed and rejects the line on any byte mismatch (non-canonical number
+//! spellings, reordered or extra keys). That check is what makes
+//! `blap-trace convert` honestly byte-deterministic: JSONL → binary →
+//! JSONL is the identity on every artifact our tracer can produce, and
+//! anything else is refused loudly instead of silently rewritten.
 //!
 //! [`BinaryBuffer`] is the in-memory [`TraceSink`] counterpart of
 //! [`crate::trace::JsonlBuffer`]; [`FrameWriter`]/[`FrameReader`] are the
@@ -169,9 +172,150 @@ pub enum FrameKind {
     },
 }
 
+/// What one parsed JSONL trace object decodes to.
+pub(crate) enum Decoded {
+    /// One of the 17 known event kinds.
+    Event(Frame),
+    /// A well-formed line whose `ev` names no known kind. The analyzer
+    /// only advances time on it; `convert` refuses it.
+    Opaque {
+        /// Virtual timestamp in microseconds.
+        t: u64,
+        /// The unrecognized event name.
+        ev: String,
+    },
+}
+
+/// The members of a JSONL trace object, taken out one key at a time.
+struct Fields(Vec<(String, Value)>);
+
+impl Fields {
+    /// Moves the first value under `key` out (leaving `null` behind).
+    fn take(&mut self, key: &str) -> Option<Value> {
+        self.0
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| std::mem::replace(v, Value::Null))
+    }
+
+    fn string(&mut self, key: &str) -> Result<String, String> {
+        self.opt_string(key)?
+            .ok_or_else(|| format!("missing string {key:?} field"))
+    }
+
+    fn opt_string(&mut self, key: &str) -> Result<Option<String>, String> {
+        match self.take(key) {
+            None => Ok(None),
+            Some(Value::Str(s)) => Ok(Some(s)),
+            Some(_) => Err(format!("{key:?} field is not a string")),
+        }
+    }
+
+    fn u64(&mut self, key: &str) -> Result<u64, String> {
+        self.opt_u64(key)?
+            .ok_or_else(|| format!("missing integer {key:?} field"))
+    }
+
+    fn opt_u64(&mut self, key: &str) -> Result<Option<u64>, String> {
+        match self.take(key) {
+            None => Ok(None),
+            Some(v) => v
+                .as_u64()
+                .map(Some)
+                .ok_or_else(|| format!("{key:?} field is not an unsigned integer")),
+        }
+    }
+
+    fn bool(&mut self, key: &str) -> Result<bool, String> {
+        match self.take(key) {
+            None => Err(format!("missing boolean {key:?} field")),
+            Some(v) => v
+                .as_bool()
+                .ok_or_else(|| format!("{key:?} field is not a boolean")),
+        }
+    }
+}
+
+impl FrameKind {
+    /// Decodes the per-kind fields of an `ev` line; `None` when `ev`
+    /// names no known kind.
+    fn from_fields(ev: &str, f: &mut Fields) -> Result<Option<FrameKind>, String> {
+        Ok(Some(match ev {
+            "dispatch" => FrameKind::Dispatch {
+                seq: f.u64("seq")?,
+                kind: f.string("kind")?,
+            },
+            "page_start" => FrameKind::PageStart {
+                target: f.string("target")?,
+            },
+            "page_connect" => FrameKind::PageConnect {
+                target: f.string("target")?,
+                responder: f.u64("responder")?,
+                latency_us: f.u64("latency_us")?,
+                raced: f.bool("raced")?,
+            },
+            "page_timeout" => FrameKind::PageTimeout {
+                target: f.string("target")?,
+            },
+            "race" => FrameKind::Race {
+                target: f.string("target")?,
+                attacker_won: f.bool("attacker_won")?,
+            },
+            "scan" => FrameKind::Scan {
+                page_scan: f.bool("page_scan")?,
+                inquiry_scan: f.bool("inquiry_scan")?,
+            },
+            "lmp_send" => FrameKind::LmpSend {
+                peer: f.string("peer")?,
+                pdu: f.string("pdu")?,
+            },
+            "lmp_recv" => FrameKind::LmpRecv {
+                peer: f.string("peer")?,
+                pdu: f.string("pdu")?,
+            },
+            "lmp_timeout" => FrameKind::LmpTimeout {
+                peer: f.string("peer")?,
+            },
+            "hci" => FrameKind::Hci {
+                dir: f.string("dir")?,
+                kind: f.string("kind")?,
+                name: f.string("name")?,
+            },
+            "link_drop" => FrameKind::LinkDrop {
+                reason: f.string("reason")?,
+            },
+            "keystore" => FrameKind::Keystore {
+                peer: f.string("peer")?,
+                action: f.string("action")?,
+            },
+            "attack_phase" => FrameKind::AttackPhase {
+                label: f.string("label")?,
+            },
+            "warning" => FrameKind::Warning {
+                message: f.string("message")?,
+            },
+            "unit_start" => FrameKind::UnitStart {
+                unit: f.u64("unit")?,
+                label: f.string("label")?,
+            },
+            "span_open" => FrameKind::SpanOpen {
+                span: f.u64("span")?,
+                parent: f.opt_u64("parent")?,
+                name: f.string("name")?,
+                detail: f.opt_string("detail")?,
+            },
+            "span_close" => FrameKind::SpanClose {
+                span: f.u64("span")?,
+                status: f.string("status")?,
+            },
+            _ => return Ok(None),
+        }))
+    }
+}
+
 impl Frame {
-    /// Condenses a live [`TraceEvent`] into a frame — the
-    /// [`BinaryBuffer`] sink's ingestion path.
+    /// Condenses a live [`TraceEvent`] into a frame — the one conversion
+    /// every sink and the analyzer's typed-event path share.
     pub fn from_event(device: Option<u32>, event: &TraceEvent) -> Frame {
         let t = event.time().as_micros();
         let kind = match event {
@@ -275,9 +419,10 @@ impl Frame {
         }
     }
 
-    /// Renders the frame as one JSONL object (no trailing newline),
-    /// byte-identical to what [`TraceEvent::render_jsonl`] would have
-    /// produced for the originating event.
+    /// Renders the frame as one JSONL object (no trailing newline).
+    ///
+    /// Key order is fixed so output is byte-comparable: `t`, then `dev`
+    /// when the event was device-scoped, then `ev` and the per-kind keys.
     pub fn render_jsonl(&self, out: &mut String) {
         use std::fmt::Write as _;
         let _ = write!(out, "{{\"t\":{}", self.t);
@@ -407,7 +552,10 @@ impl Frame {
     /// `convert` round trips lossy.
     pub fn from_jsonl(line: &str) -> Result<Frame, String> {
         let value = crate::json::parse(line).map_err(|e| e.to_string())?;
-        let frame = Frame::from_value(&value)?;
+        let frame = match Frame::from_value(value)? {
+            Decoded::Event(frame) => frame,
+            Decoded::Opaque { ev, .. } => return Err(format!("unknown event kind {ev:?}")),
+        };
         let mut rendered = String::with_capacity(line.len());
         frame.render_jsonl(&mut rendered);
         if rendered != line {
@@ -418,112 +566,32 @@ impl Frame {
         Ok(frame)
     }
 
-    fn from_value(value: &Value) -> Result<Frame, String> {
-        let str_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Value::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("missing string {key:?} field"))
-        };
-        let u64_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("missing integer {key:?} field"))
-        };
-        let bool_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Value::as_bool)
-                .ok_or_else(|| format!("missing boolean {key:?} field"))
-        };
-        let t = u64_field("t")?;
-        let dev = match value.get("dev").and_then(Value::as_u64) {
+    /// Decodes one parsed JSONL trace object — the only JSONL-to-event
+    /// decoder. The value is taken by value so its strings move into the
+    /// frame instead of being copied.
+    ///
+    /// `t`, `ev` and every field of a known kind must be present with the
+    /// right type; the optional `dev`, `parent` and `detail` keys must be
+    /// well-typed when present. Key order and extra keys are not checked
+    /// here (that is [`Frame::from_jsonl`]'s canonicality rule).
+    pub(crate) fn from_value(value: Value) -> Result<Decoded, String> {
+        let mut f = Fields(match value {
+            Value::Object(members) => members,
+            _ => Vec::new(),
+        });
+        let t = f.u64("t")?;
+        let dev = match f.opt_u64("dev")? {
             Some(d) => Some(
                 u32::try_from(d)
                     .map_err(|_| format!("\"dev\" value {d} exceeds the u32 device-id range"))?,
             ),
             None => None,
         };
-        let ev = value
-            .get("ev")
-            .and_then(Value::as_str)
-            .ok_or_else(|| "missing string \"ev\" field".to_owned())?;
-        let kind = match ev {
-            "dispatch" => FrameKind::Dispatch {
-                seq: u64_field("seq")?,
-                kind: str_field("kind")?,
-            },
-            "page_start" => FrameKind::PageStart {
-                target: str_field("target")?,
-            },
-            "page_connect" => FrameKind::PageConnect {
-                target: str_field("target")?,
-                responder: u64_field("responder")?,
-                latency_us: u64_field("latency_us")?,
-                raced: bool_field("raced")?,
-            },
-            "page_timeout" => FrameKind::PageTimeout {
-                target: str_field("target")?,
-            },
-            "race" => FrameKind::Race {
-                target: str_field("target")?,
-                attacker_won: bool_field("attacker_won")?,
-            },
-            "scan" => FrameKind::Scan {
-                page_scan: bool_field("page_scan")?,
-                inquiry_scan: bool_field("inquiry_scan")?,
-            },
-            "lmp_send" => FrameKind::LmpSend {
-                peer: str_field("peer")?,
-                pdu: str_field("pdu")?,
-            },
-            "lmp_recv" => FrameKind::LmpRecv {
-                peer: str_field("peer")?,
-                pdu: str_field("pdu")?,
-            },
-            "lmp_timeout" => FrameKind::LmpTimeout {
-                peer: str_field("peer")?,
-            },
-            "hci" => FrameKind::Hci {
-                dir: str_field("dir")?,
-                kind: str_field("kind")?,
-                name: str_field("name")?,
-            },
-            "link_drop" => FrameKind::LinkDrop {
-                reason: str_field("reason")?,
-            },
-            "keystore" => FrameKind::Keystore {
-                peer: str_field("peer")?,
-                action: str_field("action")?,
-            },
-            "attack_phase" => FrameKind::AttackPhase {
-                label: str_field("label")?,
-            },
-            "warning" => FrameKind::Warning {
-                message: str_field("message")?,
-            },
-            "unit_start" => FrameKind::UnitStart {
-                unit: u64_field("unit")?,
-                label: str_field("label")?,
-            },
-            "span_open" => FrameKind::SpanOpen {
-                span: u64_field("span")?,
-                parent: value.get("parent").and_then(Value::as_u64),
-                name: str_field("name")?,
-                detail: value
-                    .get("detail")
-                    .and_then(Value::as_str)
-                    .map(str::to_owned),
-            },
-            "span_close" => FrameKind::SpanClose {
-                span: u64_field("span")?,
-                status: str_field("status")?,
-            },
-            other => return Err(format!("unknown event kind {other:?}")),
-        };
-        Ok(Frame { t, dev, kind })
+        let ev = f.string("ev")?;
+        match FrameKind::from_fields(&ev, &mut f).map_err(|e| format!("{ev} event: {e}"))? {
+            Some(kind) => Ok(Decoded::Event(Frame { t, dev, kind })),
+            None => Ok(Decoded::Opaque { t, ev }),
+        }
     }
 
     /// Encodes the frame's payload (everything after the length prefix).

@@ -45,47 +45,6 @@ pub fn escape(s: &str) -> Cow<'_, str> {
     Cow::Owned(out)
 }
 
-/// Wraps any [`fmt::Display`] value so that its output is JSON-escaped as
-/// it is formatted — zero extra allocation at render sites:
-/// `write!(out, "\"{}\"", esc(label))`.
-pub fn esc<T: fmt::Display>(value: T) -> Escaped<T> {
-    Escaped(value)
-}
-
-/// See [`esc`].
-pub struct Escaped<T>(T);
-
-impl<T: fmt::Display> fmt::Display for Escaped<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        struct Adapter<'a, 'b>(&'a mut fmt::Formatter<'b>);
-        impl fmt::Write for Adapter<'_, '_> {
-            fn write_str(&mut self, s: &str) -> fmt::Result {
-                let mut run = s;
-                // Write unescaped runs in one shot; escape the exceptions.
-                while let Some(pos) = run
-                    .char_indices()
-                    .find(|(_, c)| *c == '"' || *c == '\\' || (*c as u32) < 0x20)
-                    .map(|(i, _)| i)
-                {
-                    self.0.write_str(&run[..pos])?;
-                    let c = run[pos..].chars().next().expect("found above");
-                    match c {
-                        '"' => self.0.write_str("\\\"")?,
-                        '\\' => self.0.write_str("\\\\")?,
-                        '\n' => self.0.write_str("\\n")?,
-                        '\r' => self.0.write_str("\\r")?,
-                        '\t' => self.0.write_str("\\t")?,
-                        c => write!(self.0, "\\u{:04x}", c as u32)?,
-                    }
-                    run = &run[pos + c.len_utf8()..];
-                }
-                self.0.write_str(run)
-            }
-        }
-        write!(Adapter(f), "{}", self.0)
-    }
-}
-
 /// A parsed JSON value.
 ///
 /// Object member order is preserved (`Vec`, not a map) so reports can cite
@@ -381,16 +340,6 @@ mod tests {
         assert!(matches!(escape("pages_started"), Cow::Borrowed(_)));
         assert_eq!(escape("a\"b"), "a\\\"b");
         assert_eq!(escape("tab\there"), "tab\\there");
-    }
-
-    #[test]
-    fn esc_display_adapter_escapes_in_place() {
-        assert_eq!(format!("{}", esc("no escapes")), "no escapes");
-        assert_eq!(
-            format!("{}", esc("quote\" slash\\ nl\n")),
-            "quote\\\" slash\\\\ nl\\n"
-        );
-        assert_eq!(format!("{}", esc("\u{1}")), "\\u0001");
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! * [`trace`] — typed [`trace::TraceEvent`]s (scheduler dispatch, page and
 //!   scan transitions, LMP send/recv, HCI seam crossings, keystore
 //!   mutations, attack-phase markers) fanned out through a cloneable
-//!   [`trace::Tracer`] handle to pluggable [`trace::TraceSink`]s: a
-//!   ring-buffer [`trace::FlightRecorder`] for post-mortem dumps and a
-//!   [`trace::JsonlBuffer`] for byte-comparable JSONL artifacts.
+//!   [`trace::Tracer`] handle to pluggable [`trace::TraceSink`]s, such as
+//!   the [`trace::JsonlBuffer`] for byte-comparable JSONL artifacts.
 //! * [`metrics`] — counters, gauges and power-of-two [`metrics::Histogram`]s
 //!   in a [`metrics::Metrics`] bag that merges commutatively, so per-world
 //!   aggregates combined in unit-index order are identical at any worker
@@ -31,19 +30,21 @@
 //! * [`span`] — causal spans (trial → page / LMP auth / host pairing /
 //!   PLOC / HCI exchange) with parent links, allocated deterministically
 //!   per tracer and rendered as `span_open` / `span_close` trace lines.
-//! * [`analyze`] — parses trace JSONL back into typed lines, reconstructs
-//!   per-trial segments, computes a virtual-time phase-latency profile,
-//!   and runs the declarative invariant checker the attack arguments rest
-//!   on (every LMP send matched, PLOC links never pairing, keystore writes
-//!   only after auth, page blocking implying a stolen pairing).
-//! * [`stream`] — the single-pass streaming core under [`analyze`]:
+//! * [`analyze`] — what a trace analysis reports: per-trial segments, a
+//!   virtual-time phase-latency profile, and violations of the
+//!   declarative invariant catalog the attack arguments rest on (every
+//!   LMP send matched, PLOC links never pairing, keystore writes only
+//!   after auth, page blocking implying a stolen pairing).
+//! * [`stream`] — the single-pass analyzer that produces it:
 //!   [`stream::StreamAnalyzer`] holds constant memory per in-flight trial,
 //!   retires segments as their boundaries arrive, and (via
 //!   [`stream::StreamSink`] + [`stream::ViolationSummary`]) lets the
 //!   campaign engine check invariants live while trials execute.
-//! * [`binfmt`] — the compact length-prefixed binary trace encoding and
-//!   its streaming reader/writer; `blap-trace convert` round-trips it
-//!   against JSONL byte-deterministically.
+//! * [`binfmt`] — [`binfmt::Frame`], the one decoded form of a trace
+//!   event: the only JSONL renderer and decoder, the compact
+//!   length-prefixed binary encoding, and its streaming reader/writer;
+//!   `blap-trace convert` round-trips the two formats
+//!   byte-deterministically.
 //! * [`diff`] — structural comparison of two trace/metrics artifacts, the
 //!   CI gate that replaced ad-hoc byte diffs.
 //! * [`json`] — the shared escaper both renderers use, plus the
@@ -88,4 +89,4 @@ pub use metrics::{export_json, Histogram, MetaValue, Metrics};
 pub use span::SpanId;
 pub use stream::{StreamAnalyzer, StreamSink, ViolationSummary};
 pub use telemetry::{SnapshotRing, TelemetrySnapshot};
-pub use trace::{DumpOnAssert, FlightRecorder, JsonlBuffer, TraceEvent, TraceSink, Tracer};
+pub use trace::{JsonlBuffer, TraceEvent, TraceSink, Tracer};

@@ -1,35 +1,34 @@
-//! Single-pass streaming trace analysis: the constant-memory core the
-//! batch [`crate::analyze`] tier is a thin wrapper over.
+//! Single-pass streaming trace analysis: the constant-memory core behind
+//! every trace check, from `blap-trace check` to the campaign engine.
 //!
-//! [`StreamAnalyzer`] consumes a trace one line (or one typed
-//! [`TraceEvent`]) at a time and keeps state **per in-flight trial only**:
-//! a segment's span table, its LMP send/recv ledgers, link drops and
-//! keystore mutations. The moment a segment boundary arrives — a
-//! `unit_start` marker, or a root `trial` span opening while a trial is
-//! already open — the finished segment is *retired*: its invariant checks
-//! run, its spans fold into the phase profile, and every byte of its
-//! buffered state is dropped. Memory is therefore bounded by the largest
-//! single trial, never by the artifact length, which is what lets
-//! `blap-trace check` walk a campaign-scale trace and lets invariant
-//! checking run *inside* `blap::campaign` while trials execute.
+//! [`StreamAnalyzer`] consumes a trace one event at a time and keeps
+//! state **per in-flight trial only**: a segment's span table, its LMP
+//! send/recv ledgers, link drops and keystore mutations. The moment a
+//! segment boundary arrives — a `unit_start` marker, or a root `trial`
+//! span opening while a trial is already open — the finished segment is
+//! *retired*: its invariant checks run, its spans fold into the phase
+//! profile, and every byte of its buffered state is dropped. Memory is
+//! therefore bounded by the largest single trial, never by the artifact
+//! length, which is what lets `blap-trace check` walk a campaign-scale
+//! trace and lets invariant checking run *inside* `blap::campaign` while
+//! trials execute.
 //!
-//! The analysis is deliberately deferred to retirement rather than run
-//! eagerly per line: the batch analyzer's checks are whole-segment
-//! (an `lmp_recv` may match a send that appears later in line order, and
-//! `keystore-after-auth` consults the segment's full span table), so
-//! retiring a segment and then checking it reproduces the batch reports
-//! byte for byte. One intentional divergence from the historical batch
-//! code: unmatched `lmp_send` violations are emitted in artifact line
-//! order (the old code iterated a `HashMap`, so their relative order was
-//! nondeterministic across runs).
+//! The analysis is deferred to retirement rather than run eagerly per
+//! event: the checks are whole-segment (an `lmp_recv` may match a send
+//! that appears later in line order, and `keystore-after-auth` consults
+//! the segment's full span table). Unmatched `lmp_send` violations are
+//! emitted in artifact line order.
 //!
-//! Two ingestion paths feed the same state machine and are pinned
-//! equivalent in tests:
+//! Every event reaches the state machine as a [`Frame`], through one
+//! entry point, [`StreamAnalyzer::push_frame`]. The other two are thin
+//! decoders in front of it, pinned equivalent in tests:
 //!
-//! * [`StreamAnalyzer::push_line`] — parses one JSONL artifact line.
-//! * [`StreamAnalyzer::push_event`] — consumes a typed [`TraceEvent`]
-//!   directly (no render/parse round trip), the campaign hot path. The
-//!   [`StreamSink`] adapter attaches it to a [`crate::trace::Tracer`].
+//! * [`StreamAnalyzer::push_line`] — decodes one JSONL artifact line.
+//! * [`StreamAnalyzer::push_event`] — condenses a typed [`TraceEvent`]
+//!   (the campaign path); the [`StreamSink`] adapter attaches it to a
+//!   [`crate::trace::Tracer`].
+//!
+//! `blap-trace` hands decoded BLAPTRC1 frames to `push_frame` directly.
 //!
 //! [`ViolationSummary`] is the bounded-memory aggregate the campaign
 //! engine merges in shard order: per-invariant counts plus a capped list
@@ -39,10 +38,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
-use crate::analyze::{
-    AnalyzeError, PhaseProfile, TraceAnalysis, TraceLine, Violation, LMP_LATENCY_US,
-};
-use crate::json::{escape, Value};
+use crate::analyze::{AnalyzeError, PhaseProfile, TraceAnalysis, Violation, LMP_LATENCY_US};
+use crate::binfmt::{Decoded, Frame, FrameKind};
+use crate::json::{self, escape, Value};
 use crate::trace::{TraceEvent, TraceSink};
 
 /// A reconstructed span within the in-flight segment.
@@ -97,61 +95,11 @@ struct SegState {
     last_t: u64,
 }
 
-/// The per-line fields the state machine consumes, extracted once from
-/// either a parsed JSONL line or a typed event.
-struct LineView<'a> {
-    line_no: usize,
-    t: u64,
-    dev: Option<u32>,
-    kind: LineKind<'a>,
-}
-
-enum LineKind<'a> {
-    UnitStart,
-    SpanOpen {
-        id: Option<u64>,
-        parent_absent: bool,
-        name: Option<&'a str>,
-        detail: Option<&'a str>,
-    },
-    SpanClose {
-        id: Option<u64>,
-        status: &'a str,
-    },
-    LmpSend {
-        pdu: Option<&'a str>,
-    },
-    LmpRecv {
-        pdu: Option<&'a str>,
-    },
-    LinkDrop,
-    Race {
-        attacker_won: bool,
-    },
-    PageConnect {
-        responder: Option<u64>,
-        latency_us: Option<u64>,
-    },
-    Keystore {
-        action: &'a str,
-    },
-    Other,
-}
-
-impl LineView<'_> {
-    /// Whether this line is a root `trial` span open — the segment
-    /// boundary rule shared with the batch analyzer: name must be
-    /// `"trial"` and the `parent` key absent (the span id itself is not
-    /// required, matching the historical segmentation).
-    fn is_root_trial(&self) -> bool {
-        matches!(
-            self.kind,
-            LineKind::SpanOpen {
-                parent_absent: true,
-                name: Some("trial"),
-                ..
-            }
-        )
+impl SegState {
+    /// Marks the segment non-empty and advances its clock to `t`.
+    fn touch(&mut self, t: u64) {
+        self.non_empty = true;
+        self.last_t = self.last_t.max(t);
     }
 }
 
@@ -187,70 +135,68 @@ impl StreamAnalyzer {
     }
 
     /// Consumes one raw artifact line (blank lines are counted and
-    /// skipped, exactly like the batch parser). Returns the parse error
-    /// for a malformed line; analyzer state is unchanged by a failed push
-    /// except for the line counter, so a caller may report and stop.
+    /// skipped). The line decodes through the same [`Frame`] decoder
+    /// `blap-trace convert` uses, then takes the [`StreamAnalyzer::push_frame`]
+    /// path. A line whose `ev` is not a known kind is accepted as opaque:
+    /// it only advances the segment's clock and the line count.
+    ///
+    /// Returns the error for a malformed line — unparseable JSON, a
+    /// missing `t`/`ev`, or a known kind with a missing or mistyped
+    /// field. Analyzer state is unchanged by a failed push except for the
+    /// line counter, so a caller may report and stop.
     pub fn push_line(&mut self, raw: &str) -> Result<(), AnalyzeError> {
-        self.next_line_no += 1;
         if raw.trim().is_empty() {
+            self.next_line_no += 1;
             return Ok(());
         }
-        let line = crate::analyze::parse_line(self.next_line_no, raw)?;
-        self.line_count += 1;
-        self.ingest(&view_of_line(&line));
+        let decoded = json::parse(raw)
+            .map_err(|e| e.to_string())
+            .and_then(Frame::from_value);
+        match decoded {
+            Ok(Decoded::Event(frame)) => self.push_frame(&frame),
+            Ok(Decoded::Opaque { t, .. }) => {
+                self.next_line();
+                self.seg.touch(t);
+            }
+            Err(message) => {
+                self.next_line_no += 1;
+                return Err(AnalyzeError {
+                    line: self.next_line_no,
+                    message,
+                });
+            }
+        }
         Ok(())
     }
 
-    /// Consumes one typed event directly — the render/parse-free path the
-    /// campaign engine uses. Equivalent to rendering the event as JSONL
-    /// and calling [`StreamAnalyzer::push_line`] (pinned in tests), but
-    /// it cannot fail: typed events are well-formed by construction.
+    /// Consumes one typed event — the campaign engine's path, via
+    /// [`StreamSink`]. Equivalent to rendering the event as JSONL and
+    /// calling [`StreamAnalyzer::push_line`] (pinned in tests), but it
+    /// cannot fail: typed events are well-formed by construction.
     pub fn push_event(&mut self, device: Option<u32>, event: &TraceEvent) {
-        self.next_line_no += 1;
-        self.line_count += 1;
-        let line_no = self.next_line_no;
-        let t = event.time().as_micros();
-        let kind = match event {
-            TraceEvent::UnitStart { .. } => LineKind::UnitStart,
-            TraceEvent::SpanOpen {
-                span,
-                parent,
-                name,
-                detail,
-                ..
-            } => LineKind::SpanOpen {
-                id: Some(span.raw()),
-                parent_absent: parent.is_none(),
-                name: Some(name),
-                detail: (!detail.is_empty()).then_some(detail.as_str()),
-            },
-            TraceEvent::SpanClose { span, status, .. } => LineKind::SpanClose {
-                id: Some(span.raw()),
-                status,
-            },
-            TraceEvent::LmpSend { pdu, .. } => LineKind::LmpSend { pdu: Some(pdu) },
-            TraceEvent::LmpRecv { pdu, .. } => LineKind::LmpRecv { pdu: Some(pdu) },
-            TraceEvent::LinkDropped { .. } => LineKind::LinkDrop,
-            TraceEvent::RaceOutcome { attacker_won, .. } => LineKind::Race {
-                attacker_won: *attacker_won,
-            },
-            TraceEvent::PageConnected {
-                responder,
-                latency_us,
-                ..
-            } => LineKind::PageConnect {
-                responder: Some(u64::from(*responder)),
-                latency_us: Some(*latency_us),
-            },
-            TraceEvent::KeystoreMutation { action, .. } => LineKind::Keystore { action },
-            _ => LineKind::Other,
-        };
-        self.ingest(&LineView {
-            line_no,
-            t,
-            dev: device,
-            kind,
-        });
+        self.push_frame(&Frame::from_event(device, event));
+    }
+
+    /// Consumes one decoded trace event: the single entry point every
+    /// ingestion path — JSONL lines, BLAPTRC1 frames, typed events —
+    /// ends in.
+    pub fn push_frame(&mut self, frame: &Frame) {
+        let line = self.next_line();
+        // Segment boundaries: a `unit_start` marker, or a root `trial`
+        // span opening while a trial is already open in this segment.
+        let unit = matches!(frame.kind, FrameKind::UnitStart { .. });
+        let root_trial = matches!(
+            &frame.kind,
+            FrameKind::SpanOpen { parent: None, name, .. } if name == "trial"
+        );
+        if unit || (root_trial && self.trial_open_in_current) {
+            self.retire();
+        }
+        if unit || root_trial {
+            self.trial_open_in_current = root_trial;
+        }
+        self.seg.touch(frame.t);
+        self.absorb(line, frame);
     }
 
     /// Retires the final segment and returns the completed analysis.
@@ -265,96 +211,81 @@ impl StreamAnalyzer {
         }
     }
 
-    fn ingest(&mut self, line: &LineView<'_>) {
-        let is_unit = matches!(line.kind, LineKind::UnitStart);
-        let is_root_trial = line.is_root_trial();
-        if is_unit || (is_root_trial && self.trial_open_in_current) {
-            self.retire();
-            self.trial_open_in_current = is_root_trial;
-        } else if is_root_trial {
-            self.trial_open_in_current = true;
-        }
-        self.absorb(line);
+    /// Counts one consumed line and returns its 1-based line number.
+    fn next_line(&mut self) -> usize {
+        self.next_line_no += 1;
+        self.line_count += 1;
+        self.next_line_no
     }
 
-    /// Folds one line into the in-flight segment's condensed state.
-    fn absorb(&mut self, line: &LineView<'_>) {
+    /// Folds one event into the in-flight segment's condensed state.
+    fn absorb(&mut self, line: usize, frame: &Frame) {
         let seg = &mut self.seg;
-        seg.non_empty = true;
-        seg.last_t = seg.last_t.max(line.t);
-        match &line.kind {
-            LineKind::SpanOpen {
-                id: Some(id),
-                name: Some(name),
-                detail,
-                ..
+        let (t, dev) = (frame.t, frame.dev);
+        match &frame.kind {
+            FrameKind::SpanOpen {
+                span, name, detail, ..
             } => {
-                if seg.spans.contains_key(id) {
+                if seg.spans.contains_key(span) {
                     self.violations.push(Violation {
                         invariant: "span-structure",
                         segment: self.segment_count,
-                        line: Some(line.line_no),
-                        message: format!("span {id} opened twice"),
+                        line: Some(line),
+                        message: format!("span {span} opened twice"),
                     });
                 } else {
                     seg.spans.insert(
-                        *id,
+                        *span,
                         SpanRec {
-                            name: (*name).to_owned(),
-                            dev: line.dev,
-                            open_t: line.t,
-                            open_line: line.line_no,
-                            detail: detail.map(str::to_owned),
+                            name: name.clone(),
+                            dev,
+                            open_t: t,
+                            open_line: line,
+                            detail: detail.clone(),
                             close: None,
                             close_line: None,
                         },
                     );
                 }
             }
-            LineKind::SpanClose {
-                id: Some(id),
-                status,
-            } => match seg.spans.get_mut(id) {
+            FrameKind::SpanClose { span, status } => match seg.spans.get_mut(span) {
                 None => self.violations.push(Violation {
                     invariant: "span-structure",
                     segment: self.segment_count,
-                    line: Some(line.line_no),
-                    message: format!("span {id} closed but never opened in this segment"),
+                    line: Some(line),
+                    message: format!("span {span} closed but never opened in this segment"),
                 }),
-                Some(span) if span.close.is_some() => self.violations.push(Violation {
+                Some(rec) if rec.close.is_some() => self.violations.push(Violation {
                     invariant: "span-structure",
                     segment: self.segment_count,
-                    line: Some(line.line_no),
-                    message: format!("span {id} closed twice"),
+                    line: Some(line),
+                    message: format!("span {span} closed twice"),
                 }),
-                Some(span) => {
-                    span.close = Some((line.t, (*status).to_owned()));
-                    span.close_line = Some(line.line_no);
+                Some(rec) => {
+                    rec.close = Some((t, status.clone()));
+                    rec.close_line = Some(line);
                 }
             },
-            LineKind::LmpSend { pdu: Some(pdu) } if *pdu != "LMP_detach" => {
-                seg.sends
-                    .entry(((*pdu).to_owned(), line.t))
-                    .or_default()
-                    .push(line.line_no);
+            FrameKind::LmpSend { pdu, .. } if pdu != "LMP_detach" => {
+                seg.sends.entry((pdu.clone(), t)).or_default().push(line);
             }
-            LineKind::LmpRecv { pdu: Some(pdu) } if *pdu != "LMP_detach" => {
-                seg.recvs.push(((*pdu).to_owned(), line.t, line.line_no));
+            FrameKind::LmpRecv { pdu, .. } if pdu != "LMP_detach" => {
+                seg.recvs.push((pdu.clone(), t, line));
             }
-            LineKind::LinkDrop => seg.drops.push(line.t),
-            LineKind::Race { attacker_won } => seg.race_won |= attacker_won,
-            LineKind::PageConnect {
-                responder: Some(responder),
-                latency_us: Some(latency_us),
+            FrameKind::LinkDrop { .. } => seg.drops.push(t),
+            FrameKind::Race { attacker_won, .. } => seg.race_won |= attacker_won,
+            FrameKind::PageConnect {
+                responder,
+                latency_us,
+                ..
             } => seg
                 .page_connects
-                .push((*responder, line.t.saturating_add(*latency_us))),
-            LineKind::PageConnect { .. } => {}
-            LineKind::Keystore { action } => seg.keystores.push(KeystoreRec {
-                action: (*action).to_owned(),
-                dev: line.dev,
-                t: line.t,
-                line_no: line.line_no,
+                .push((*responder, t.saturating_add(*latency_us))),
+            FrameKind::Keystore { action, .. } => seg.keystores.push(KeystoreRec {
+                action: action.clone(),
+                dev,
+                t,
+                line_no: line,
             }),
             _ => {}
         }
@@ -388,48 +319,6 @@ impl StreamAnalyzer {
         check_ploc_no_pairing(seg_idx, &seg.spans, &mut self.violations);
         check_keystore_after_auth(seg_idx, &seg, &mut self.violations);
         check_blocking_implies_win(seg_idx, &seg, &mut self.violations);
-    }
-}
-
-fn view_of_line<'a>(line: &'a TraceLine) -> LineView<'a> {
-    let str_field = |key: &str| line.value.get(key).and_then(Value::as_str);
-    let u64_field = |key: &str| line.value.get(key).and_then(Value::as_u64);
-    let kind = match line.ev.as_str() {
-        "unit_start" => LineKind::UnitStart,
-        "span_open" => LineKind::SpanOpen {
-            id: u64_field("span"),
-            parent_absent: line.value.get("parent").is_none(),
-            name: str_field("name"),
-            detail: str_field("detail"),
-        },
-        "span_close" => LineKind::SpanClose {
-            id: u64_field("span"),
-            status: str_field("status").unwrap_or(""),
-        },
-        "lmp_send" => LineKind::LmpSend {
-            pdu: str_field("pdu"),
-        },
-        "lmp_recv" => LineKind::LmpRecv {
-            pdu: str_field("pdu"),
-        },
-        "link_drop" => LineKind::LinkDrop,
-        "race" => LineKind::Race {
-            attacker_won: line.value.get("attacker_won").and_then(Value::as_bool) == Some(true),
-        },
-        "page_connect" => LineKind::PageConnect {
-            responder: line.value.get("responder").and_then(Value::as_u64),
-            latency_us: line.value.get("latency_us").and_then(Value::as_u64),
-        },
-        "keystore" => LineKind::Keystore {
-            action: str_field("action").unwrap_or(""),
-        },
-        _ => LineKind::Other,
-    };
-    LineView {
-        line_no: line.line_no,
-        t: line.t,
-        dev: line.dev,
-        kind,
     }
 }
 

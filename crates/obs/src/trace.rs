@@ -1,18 +1,19 @@
-//! Structured tracing: typed events, sinks, and the flight recorder.
+//! Structured tracing: typed events and the sinks they fan out to.
 //!
 //! Events are stamped with **virtual** time ([`Instant`]) at the emission
 //! site, never with wall-clock time, so a trace is a pure function of the
 //! world seed: byte-identical across runs, machines, and worker counts.
 //! The [`Tracer`] handle is cheap to clone and cheap to ignore — a disabled
-//! tracer is one `Option` discriminant check per call site.
+//! tracer is one `Option` discriminant check per call site. Sinks that
+//! render or analyze events first condense them into a
+//! [`crate::binfmt::Frame`], the one decoded form every trace format and
+//! the analyzer share.
 
-use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use blap_types::{BdAddr, Instant};
 
-use crate::json::{esc, escape_into};
+use crate::binfmt::Frame;
 use crate::span::{SpanId, SpanState};
 
 /// One typed trace event.
@@ -199,157 +200,6 @@ impl TraceEvent {
             TraceEvent::UnitStart { .. } => Instant::EPOCH,
         }
     }
-
-    /// Renders the event as one JSONL object (no trailing newline).
-    ///
-    /// Key order is fixed so output is byte-comparable. `device` is the
-    /// emitting device's world index, when the tracer was scoped to one.
-    pub fn render_jsonl(&self, device: Option<u32>, out: &mut String) {
-        let t = self.time().as_micros();
-        let _ = write!(out, "{{\"t\":{t}");
-        if let Some(dev) = device {
-            let _ = write!(out, ",\"dev\":{dev}");
-        }
-        match self {
-            TraceEvent::SchedulerDispatch { seq, kind, .. } => {
-                let _ = write!(
-                    out,
-                    ",\"ev\":\"dispatch\",\"seq\":{seq},\"kind\":\"{}\"",
-                    esc(kind)
-                );
-            }
-            TraceEvent::PageStarted { target, .. } => {
-                let _ = write!(out, ",\"ev\":\"page_start\",\"target\":\"{}\"", esc(target));
-            }
-            TraceEvent::PageConnected {
-                target,
-                responder,
-                latency_us,
-                raced,
-                ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"ev\":\"page_connect\",\"target\":\"{}\",\"responder\":{responder},\"latency_us\":{latency_us},\"raced\":{raced}",
-                    esc(target)
-                );
-            }
-            TraceEvent::PageTimeout { target, .. } => {
-                let _ = write!(
-                    out,
-                    ",\"ev\":\"page_timeout\",\"target\":\"{}\"",
-                    esc(target)
-                );
-            }
-            TraceEvent::RaceOutcome {
-                target,
-                attacker_won,
-                ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"ev\":\"race\",\"target\":\"{}\",\"attacker_won\":{attacker_won}",
-                    esc(target)
-                );
-            }
-            TraceEvent::ScanTransition {
-                page_scan,
-                inquiry_scan,
-                ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"ev\":\"scan\",\"page_scan\":{page_scan},\"inquiry_scan\":{inquiry_scan}"
-                );
-            }
-            TraceEvent::LmpSend { peer, pdu, .. } => {
-                let _ = write!(
-                    out,
-                    ",\"ev\":\"lmp_send\",\"peer\":\"{}\",\"pdu\":\"{}\"",
-                    esc(peer),
-                    esc(pdu)
-                );
-            }
-            TraceEvent::LmpRecv { peer, pdu, .. } => {
-                let _ = write!(
-                    out,
-                    ",\"ev\":\"lmp_recv\",\"peer\":\"{}\",\"pdu\":\"{}\"",
-                    esc(peer),
-                    esc(pdu)
-                );
-            }
-            TraceEvent::LmpTimeout { peer, .. } => {
-                let _ = write!(out, ",\"ev\":\"lmp_timeout\",\"peer\":\"{}\"", esc(peer));
-            }
-            TraceEvent::HciSeam {
-                direction,
-                kind,
-                name,
-                ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"ev\":\"hci\",\"dir\":\"{}\",\"kind\":\"{}\",\"name\":\"{}\"",
-                    esc(direction),
-                    esc(kind),
-                    esc(name)
-                );
-            }
-            TraceEvent::LinkDropped { reason, .. } => {
-                let _ = write!(out, ",\"ev\":\"link_drop\",\"reason\":\"{}\"", esc(reason));
-            }
-            TraceEvent::KeystoreMutation { peer, action, .. } => {
-                let _ = write!(
-                    out,
-                    ",\"ev\":\"keystore\",\"peer\":\"{}\",\"action\":\"{}\"",
-                    esc(peer),
-                    esc(action)
-                );
-            }
-            TraceEvent::AttackPhase { label, .. } => {
-                let _ = write!(out, ",\"ev\":\"attack_phase\",\"label\":\"{}\"", esc(label));
-            }
-            TraceEvent::Warning { message, .. } => {
-                out.push_str(",\"ev\":\"warning\",\"message\":\"");
-                escape_into(message, out);
-                out.push('"');
-            }
-            TraceEvent::UnitStart { unit, label, .. } => {
-                let _ = write!(
-                    out,
-                    ",\"ev\":\"unit_start\",\"unit\":{unit},\"label\":\"{}\"",
-                    esc(label)
-                );
-            }
-            TraceEvent::SpanOpen {
-                span,
-                parent,
-                name,
-                detail,
-                ..
-            } => {
-                let _ = write!(out, ",\"ev\":\"span_open\",\"span\":{}", span.raw());
-                if !parent.is_none() {
-                    let _ = write!(out, ",\"parent\":{}", parent.raw());
-                }
-                let _ = write!(out, ",\"name\":\"{}\"", esc(name));
-                if !detail.is_empty() {
-                    out.push_str(",\"detail\":\"");
-                    escape_into(detail, out);
-                    out.push('"');
-                }
-            }
-            TraceEvent::SpanClose { span, status, .. } => {
-                let _ = write!(
-                    out,
-                    ",\"ev\":\"span_close\",\"span\":{},\"status\":\"{}\"",
-                    span.raw(),
-                    esc(status)
-                );
-            }
-        }
-        out.push('}');
-    }
 }
 
 /// A consumer of trace events.
@@ -500,115 +350,6 @@ impl Tracer {
     }
 }
 
-struct RecorderInner {
-    capacity: usize,
-    lines: VecDeque<String>,
-    total: u64,
-}
-
-/// A fixed-capacity ring buffer of rendered events — the flight recorder.
-///
-/// Keeps the last `capacity` events; [`FlightRecorder::dump_on_assert`]
-/// arms a guard that prints them when a test assertion (any panic) unwinds
-/// through its scope, which turns "trial 17 failed" into the actual event
-/// tail that led there.
-#[derive(Clone)]
-pub struct FlightRecorder {
-    inner: Arc<Mutex<RecorderInner>>,
-}
-
-impl FlightRecorder {
-    /// A recorder keeping the last `capacity` events (at least 1).
-    pub fn new(capacity: usize) -> FlightRecorder {
-        FlightRecorder {
-            inner: Arc::new(Mutex::new(RecorderInner {
-                capacity: capacity.max(1),
-                lines: VecDeque::new(),
-                total: 0,
-            })),
-        }
-    }
-
-    /// Total events ever recorded (including evicted ones).
-    pub fn total_recorded(&self) -> u64 {
-        self.inner.lock().expect("recorder lock").total
-    }
-
-    /// Events currently held (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("recorder lock").lines.len()
-    }
-
-    /// Whether nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The last `n` rendered events, oldest first.
-    pub fn last(&self, n: usize) -> Vec<String> {
-        let inner = self.inner.lock().expect("recorder lock");
-        let skip = inner.lines.len().saturating_sub(n);
-        inner.lines.iter().skip(skip).cloned().collect()
-    }
-
-    /// A human-readable dump of the last `n` events.
-    pub fn dump(&self, n: usize) -> String {
-        let lines = self.last(n);
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "--- flight recorder: last {} of {} events ---",
-            lines.len(),
-            self.total_recorded()
-        );
-        for line in &lines {
-            out.push_str(line);
-            out.push('\n');
-        }
-        out.push_str("--- end flight recorder ---");
-        out
-    }
-
-    /// Arms a [`DumpOnAssert`] guard: if a panic (failed `assert!`)
-    /// unwinds while the guard is alive, the last `n` events are printed
-    /// to stderr alongside the assertion message.
-    pub fn dump_on_assert(&self, n: usize) -> DumpOnAssert {
-        DumpOnAssert {
-            recorder: self.clone(),
-            n,
-        }
-    }
-}
-
-impl TraceSink for FlightRecorder {
-    fn record(&mut self, device: Option<u32>, event: &TraceEvent) {
-        let mut line = String::with_capacity(64);
-        event.render_jsonl(device, &mut line);
-        let mut inner = self.inner.lock().expect("recorder lock");
-        inner.total += 1;
-        if inner.lines.len() == inner.capacity {
-            inner.lines.pop_front();
-        }
-        inner.lines.push_back(line);
-    }
-}
-
-/// Guard returned by [`FlightRecorder::dump_on_assert`]. On drop during a
-/// panic it prints the recorder tail to stderr; on normal drop it is
-/// silent.
-pub struct DumpOnAssert {
-    recorder: FlightRecorder,
-    n: usize,
-}
-
-impl Drop for DumpOnAssert {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            eprintln!("{}", self.recorder.dump(self.n));
-        }
-    }
-}
-
 /// A sink that appends rendered events as JSONL into a shared string
 /// buffer. Clone it before attaching to keep a read handle.
 #[derive(Clone, Default)]
@@ -635,8 +376,9 @@ impl JsonlBuffer {
 
 impl TraceSink for JsonlBuffer {
     fn record(&mut self, device: Option<u32>, event: &TraceEvent) {
+        let frame = Frame::from_event(device, event);
         let mut buf = self.inner.lock().expect("jsonl lock");
-        event.render_jsonl(device, &mut buf);
+        frame.render_jsonl(&mut buf);
         buf.push('\n');
     }
 }
@@ -677,46 +419,27 @@ mod tests {
         );
     }
 
+    /// Renders one event the way [`JsonlBuffer`] does, without the
+    /// trailing newline.
+    fn render(device: Option<u32>, event: &TraceEvent) -> String {
+        let mut out = String::new();
+        Frame::from_event(device, event).render_jsonl(&mut out);
+        out
+    }
+
     #[test]
     fn warning_messages_are_escaped() {
-        let mut out = String::new();
-        TraceEvent::Warning {
-            time: Instant::EPOCH,
-            message: "quote \" slash \\ newline \n".to_owned(),
-        }
-        .render_jsonl(None, &mut out);
+        let out = render(
+            None,
+            &TraceEvent::Warning {
+                time: Instant::EPOCH,
+                message: "quote \" slash \\ newline \n".to_owned(),
+            },
+        );
         assert_eq!(
             out,
             "{\"t\":0,\"ev\":\"warning\",\"message\":\"quote \\\" slash \\\\ newline \\n\"}"
         );
-    }
-
-    #[test]
-    fn flight_recorder_keeps_last_n() {
-        let tracer = Tracer::new();
-        let recorder = FlightRecorder::new(3);
-        tracer.attach(recorder.clone());
-        for i in 0..10u64 {
-            tracer.emit(TraceEvent::SchedulerDispatch {
-                time: Instant::from_micros(i * 625),
-                seq: i,
-                kind: "TimerFire",
-            });
-        }
-        assert_eq!(recorder.total_recorded(), 10);
-        assert_eq!(recorder.len(), 3);
-        let tail = recorder.last(2);
-        assert_eq!(tail.len(), 2);
-        assert!(tail[0].contains("\"seq\":8"), "{:?}", tail);
-        assert!(tail[1].contains("\"seq\":9"), "{:?}", tail);
-        assert!(recorder.dump(2).contains("last 2 of 10 events"));
-    }
-
-    #[test]
-    fn dump_on_assert_silent_on_success() {
-        let recorder = FlightRecorder::new(4);
-        let _guard = recorder.dump_on_assert(4);
-        // Dropping without a panic must not print or panic.
     }
 
     #[test]
@@ -749,79 +472,33 @@ mod tests {
         // PDU/kind label must render as valid JSON that parses back to the
         // original string.
         let hostile = "pdu\",\"ev\":\"forged\u{1}\\";
-        let mut out = String::new();
-        TraceEvent::LmpSend {
-            time: Instant::from_micros(625),
-            peer: addr(),
-            pdu: hostile,
-        }
-        .render_jsonl(Some(3), &mut out);
+        let out = render(
+            Some(3),
+            &TraceEvent::LmpSend {
+                time: Instant::from_micros(625),
+                peer: addr(),
+                pdu: hostile,
+            },
+        );
         let parsed = crate::json::parse(&out).expect("hostile label stays valid JSON");
         assert_eq!(parsed.get("ev").and_then(|v| v.as_str()), Some("lmp_send"));
         assert_eq!(parsed.get("pdu").and_then(|v| v.as_str()), Some(hostile));
 
-        let mut out = String::new();
-        TraceEvent::HciSeam {
-            time: Instant::EPOCH,
-            direction: "sent",
-            kind: "command\"",
-            name: "a\\b",
-        }
-        .render_jsonl(None, &mut out);
+        let out = render(
+            None,
+            &TraceEvent::HciSeam {
+                time: Instant::EPOCH,
+                direction: "sent",
+                kind: "command\"",
+                name: "a\\b",
+            },
+        );
         let parsed = crate::json::parse(&out).expect("hostile hci labels stay valid JSON");
         assert_eq!(
             parsed.get("kind").and_then(|v| v.as_str()),
             Some("command\"")
         );
         assert_eq!(parsed.get("name").and_then(|v| v.as_str()), Some("a\\b"));
-    }
-
-    #[test]
-    fn flight_recorder_wraparound_ordering_and_totals() {
-        let recorder = FlightRecorder::new(4);
-        let tracer = Tracer::new();
-        tracer.attach(recorder.clone());
-        for i in 0..11u64 {
-            tracer.emit(TraceEvent::SchedulerDispatch {
-                time: Instant::from_micros(i * 625),
-                seq: i,
-                kind: "TimerFire",
-            });
-        }
-        // Capacity exceeded: only the last 4 survive, oldest first.
-        assert_eq!(recorder.total_recorded(), 11);
-        assert_eq!(recorder.len(), 4);
-        let all = recorder.last(100);
-        assert_eq!(all.len(), 4, "last(n > len) returns everything held");
-        for (slot, seq) in all.iter().zip(7..=10u64) {
-            assert!(slot.contains(&format!("\"seq\":{seq}")), "{all:?}");
-        }
-        let dump = recorder.dump(3);
-        assert!(dump.contains("last 3 of 11 events"), "{dump}");
-        let dumped: Vec<&str> = dump.lines().collect();
-        assert_eq!(dumped.len(), 5, "header + 3 events + footer");
-        assert!(dumped[1].contains("\"seq\":8"), "{dump}");
-        assert!(dumped[3].contains("\"seq\":10"), "{dump}");
-    }
-
-    #[test]
-    fn flight_recorder_zero_capacity_still_keeps_one() {
-        // capacity == 0 is clamped to 1: the recorder never panics and
-        // always holds the most recent event.
-        let recorder = FlightRecorder::new(0);
-        let tracer = Tracer::new();
-        tracer.attach(recorder.clone());
-        assert!(recorder.is_empty());
-        for i in 0..3u64 {
-            tracer.emit(TraceEvent::SchedulerDispatch {
-                time: Instant::from_micros(i),
-                seq: i,
-                kind: "TimerFire",
-            });
-        }
-        assert_eq!(recorder.total_recorded(), 3);
-        assert_eq!(recorder.len(), 1);
-        assert!(recorder.last(5)[0].contains("\"seq\":2"));
     }
 
     #[test]

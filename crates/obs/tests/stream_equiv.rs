@@ -1,20 +1,20 @@
 //! Streaming ≡ batch analyzer equivalence properties.
 //!
-//! `analyze_trace` is a thin wrapper over `StreamAnalyzer`, but the
-//! analyzer itself has three ingestion paths that can drift
-//! independently: whole-artifact text, incremental `push_line`, and the
-//! render-free typed `push_event` path the campaign engine drives. The
-//! properties here generate interleaved multi-trial traces — matched and
-//! orphaned LMP exchanges, nested spans, keystore mutations, races,
-//! page connects, link drops — and pin all three paths to the same
-//! violations, phase profile, and counts. A composition property checks
-//! that segment retirement is history-free (analyzing two traces
-//! back-to-back equals analyzing each alone), and a fault-injection
-//! property checks that a torn final line fails the push without
-//! corrupting everything already analyzed.
+//! `analyze_trace` is a thin wrapper over `StreamAnalyzer`, and the
+//! analyzer's three ingestion paths all end in `push_frame`, but each
+//! decodes its input its own way: whole-artifact text, incremental
+//! `push_line`, and the typed `push_event` path the campaign engine
+//! drives. The properties here generate interleaved multi-trial traces
+//! — matched and orphaned LMP exchanges, nested spans, keystore
+//! mutations, races, page connects, link drops — and pin all three
+//! paths to the same violations, phase profile, and counts. A
+//! composition property checks that segment retirement is history-free
+//! (analyzing two traces back-to-back equals analyzing each alone), and
+//! a fault-injection property checks that a torn final line fails the
+//! push without corrupting everything already analyzed.
 
 use blap_obs::trace::TraceEvent;
-use blap_obs::{analyze_trace, SpanId, StreamAnalyzer, TraceAnalysis};
+use blap_obs::{analyze_trace, Frame, SpanId, StreamAnalyzer, TraceAnalysis};
 use blap_types::{BdAddr, Instant};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -281,7 +281,7 @@ fn build(plans: &[SegPlan], mut unit: u64, mut span: u64) -> Vec<(Option<u32>, T
 fn render(events: &[(Option<u32>, TraceEvent)]) -> String {
     let mut text = String::new();
     for (dev, event) in events {
-        event.render_jsonl(*dev, &mut text);
+        Frame::from_event(*dev, event).render_jsonl(&mut text);
         text.push('\n');
     }
     text

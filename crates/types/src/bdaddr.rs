@@ -87,11 +87,15 @@ impl BdAddr {
 
 impl fmt::Display for BdAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:02x}:{:02x}:{:02x}:{:02x}:{:02x}:{:02x}",
-            self.0[0], self.0[1], self.0[2], self.0[3], self.0[4], self.0[5]
-        )
+        // Hand-rolled: every trace event that names a peer renders its
+        // address, and six `{:02x}` arguments cost ~6x this.
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut text = [b':'; 17];
+        for (i, byte) in self.0.iter().enumerate() {
+            text[3 * i] = HEX[usize::from(byte >> 4)];
+            text[3 * i + 1] = HEX[usize::from(byte & 0x0f)];
+        }
+        f.write_str(std::str::from_utf8(&text).expect("hex digits and colons are ASCII"))
     }
 }
 
@@ -143,6 +147,9 @@ mod tests {
     fn parse_and_display_round_trip() {
         let addr: BdAddr = "00:1B:7D:DA:71:0A".parse().unwrap();
         assert_eq!(addr.to_string(), "00:1b:7d:da:71:0a");
+        let edges = BdAddr::new([0xff, 0x00, 0x0a, 0xa0, 0x10, 0x01]);
+        assert_eq!(edges.to_string(), "ff:00:0a:a0:10:01");
+        assert_eq!(edges.to_string().parse::<BdAddr>(), Ok(edges));
     }
 
     #[test]

@@ -20,6 +20,7 @@ use blap::runner::Jobs;
 use blap_bench::{
     run_table1_observed_with, run_table1_with, run_table2_observed_with, run_table2_with,
 };
+use blap_obs::{Frame, FrameReader, FrameWriter, StreamAnalyzer};
 use blap_repro::attacks::eavesdrop::EavesdropScenario;
 use blap_repro::sim::{profiles, World};
 use blap_repro::types::{Duration, ServiceUuid};
@@ -131,24 +132,37 @@ fn golden_trace_check_and_timeline_reports() {
     // Table I/II traces: the streaming analyzer's rendered reports are
     // fixtures too, and CI diffs the CLI's actual stdout against the same
     // files — so the library and the binary are pinned to each other.
+    // Each trace is checked twice: as JSONL lines, and as the BLAPTRC1
+    // frames `blap-trace convert` would write, read back and pushed
+    // without a JSONL round trip.
     for table in ["table1", "table2"] {
         let trace = fs::read_to_string(fixture_path(&format!("{table}_trace.jsonl")))
             .expect("trace fixture present");
-        let mut analyzer = blap_obs::StreamAnalyzer::new();
+        let mut from_lines = StreamAnalyzer::new();
+        let mut writer = FrameWriter::new(Vec::new()).expect("in-memory write");
         for line in trace.lines() {
-            analyzer.push_line(line).expect("fixture lines parse");
+            from_lines.push_line(line).expect("fixture lines parse");
+            let frame = Frame::from_jsonl(line).expect("fixture lines are canonical");
+            writer.write_frame(&frame).expect("in-memory write");
         }
-        let analysis = analyzer.finish();
-        assert!(analysis.ok(), "pinned traces are violation-free");
-        let check = format!("{}OK: all invariants hold\n", analysis.report());
-        check_fixture(&format!("{table}_check.txt"), check.as_bytes());
-        let timeline = format!(
-            "{} lines, {} trial segments\n{}",
-            analysis.line_count,
-            analysis.segment_count,
-            analysis.profile.render()
-        );
-        check_fixture(&format!("{table}_timeline.txt"), timeline.as_bytes());
+        let binary = writer.finish().expect("in-memory flush");
+        let mut reader = FrameReader::new(&binary[..]).expect("magic just written");
+        let mut from_frames = StreamAnalyzer::new();
+        while let Some(frame) = reader.next_frame().expect("frames just written decode") {
+            from_frames.push_frame(&frame);
+        }
+        for analysis in [from_lines.finish(), from_frames.finish()] {
+            assert!(analysis.ok(), "pinned traces are violation-free");
+            let check = format!("{}OK: all invariants hold\n", analysis.report());
+            check_fixture(&format!("{table}_check.txt"), check.as_bytes());
+            let timeline = format!(
+                "{} lines, {} trial segments\n{}",
+                analysis.line_count,
+                analysis.segment_count,
+                analysis.profile.render()
+            );
+            check_fixture(&format!("{table}_timeline.txt"), timeline.as_bytes());
+        }
     }
 }
 

@@ -1,5 +1,6 @@
-//! Deeply nested JSON must give a typed parse error, never a stack
-//! overflow.
+//! Hostile JSON must give a typed error: deep nesting never overflows
+//! the stack, and a trace line of a known kind with a bad field is never
+//! silently skipped.
 //!
 //! `blap_obs::json::parse` reads every JSON input the tools accept: trace
 //! lines for `blap-trace check`/`diff`, metrics documents, campaign
@@ -61,4 +62,47 @@ fn every_json_reader_surfaces_the_error() {
     assert!(Metrics::parse_json(&hostile).is_err());
     // blap-trace convert: JSONL to BLAPTRC1.
     assert!(Frame::from_jsonl(&hostile).is_err());
+}
+
+#[test]
+fn known_event_with_a_missing_or_mistyped_field_is_an_error() {
+    // These lines used to be absorbed as if the event had not happened,
+    // so `blap-trace check` passed a trace it had not really checked.
+    for (line, field) in [
+        (r#"{"t":0,"ev":"span_open","span":1}"#, "\"name\""),
+        (
+            r#"{"t":0,"ev":"span_open","span":"1","name":"trial"}"#,
+            "\"span\"",
+        ),
+        (
+            r#"{"t":0,"ev":"span_open","span":1,"parent":"0","name":"page"}"#,
+            "\"parent\"",
+        ),
+        (
+            r#"{"t":0,"ev":"lmp_send","peer":"aa:aa:aa:aa:aa:aa"}"#,
+            "\"pdu\"",
+        ),
+        (
+            r#"{"t":0,"ev":"race","target":"aa:aa:aa:aa:aa:aa","attacker_won":"yes"}"#,
+            "\"attacker_won\"",
+        ),
+        (
+            r#"{"t":0,"dev":"1","ev":"link_drop","reason":"detach"}"#,
+            "\"dev\"",
+        ),
+    ] {
+        let mut analyzer = StreamAnalyzer::new();
+        analyzer
+            .push_line(r#"{"t":0,"ev":"attack_phase","label":"start"}"#)
+            .expect("well-formed line");
+        let err = analyzer.push_line(line).expect_err(line);
+        assert_eq!(err.line, 2, "{err}");
+        assert!(err.message.contains(field), "{line}: {err}");
+    }
+    // An unknown kind is still an opaque, accepted line.
+    let mut analyzer = StreamAnalyzer::new();
+    analyzer
+        .push_line(r#"{"t":1,"ev":"x"}"#)
+        .expect("unknown kinds are opaque");
+    assert_eq!(analyzer.finish().line_count, 1);
 }

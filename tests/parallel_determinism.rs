@@ -17,9 +17,7 @@ use blap::link_key_extraction::ExtractionScenario;
 use blap::runner::{seed_for, Jobs};
 use blap_bench::{run_table1_observed_with, run_table2_observed_with, run_table2_with};
 use blap_crypto::p256::{generator, group_order, KeyPair, Point, Scalar};
-use blap_obs::{
-    analyze_trace, diff_metrics, diff_traces, prof, telemetry, FlightRecorder, Metrics, Tracer,
-};
+use blap_obs::{analyze_trace, diff_metrics, diff_traces, prof, telemetry, Metrics, Tracer};
 use proptest::prelude::*;
 
 #[test]
@@ -232,28 +230,15 @@ fn table1_observability_artifacts_identical_across_worker_counts() {
 }
 
 #[test]
-fn flight_recorder_captures_extraction_tail() {
-    // The debugging loop ISSUE 2 targets: run a world with a flight
-    // recorder armed, and the ring buffer holds the (bounded) event tail
-    // ready to print if an assertion below were to fail.
+fn observed_extraction_run_is_vulnerable_and_counted() {
+    // An extraction world run through an enabled tracer still shows the
+    // attack succeeding and its pages and snoop traffic in the metrics.
     let tracer = Tracer::new();
-    let recorder = FlightRecorder::new(64);
-    tracer.attach(recorder.clone());
-    let _guard = recorder.dump_on_assert(16);
-
     let (report, metrics) =
         ExtractionScenario::new(blap_sim::profiles::nexus_5x_a8(), 1).run_observed(&tracer);
     assert!(report.vulnerable());
-    assert!(
-        recorder.total_recorded() > 64,
-        "a full run emits many events"
-    );
-    assert_eq!(recorder.len(), 64, "ring buffer stays at capacity");
     assert!(metrics.counter("pages_connected") > 0);
     assert!(metrics.counter("dev1.snoop_packets") > 0);
-    let dump = recorder.dump(4);
-    assert!(dump.starts_with("--- flight recorder"));
-    assert_eq!(dump.lines().count(), 6, "header + 4 events + footer");
 }
 
 #[test]
